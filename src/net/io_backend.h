@@ -72,6 +72,10 @@ struct IoBackendStats {
   uint64_t send_submissions = 0;
   /// Wakeup-eventfd signals consumed.
   uint64_t wakeups = 0;
+  /// Coalescing waits whose moderation window ran out before the batch
+  /// they asked for arrived (io_uring only): each one added up to a window
+  /// of latency to its round.
+  uint64_t coalesce_timeouts = 0;
 };
 
 /// The I/O backend seam: everything about *how* readiness/completion is

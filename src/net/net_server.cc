@@ -680,6 +680,7 @@ serve::NetCounters NetServer::net_counters() const {
     net.io_recv_submissions += s.recv_submissions;
     net.io_send_submissions += s.send_submissions;
     net.io_wakeups += s.wakeups;
+    net.io_coalesce_timeouts += s.coalesce_timeouts;
   }
   return net;
 }
@@ -710,30 +711,7 @@ std::string NetServer::StatsJson() const {
         close > open + 1) {
       fields = inner.substr(open + 1, close - open - 1);
     }
-    std::string json = "{\"net\": {";
-    json += StrFormat(
-        "\"connections_accepted\": %llu, \"connections_closed\": %llu, "
-        "\"frames_in\": %llu, \"frames_out\": %llu, \"bytes_in\": %llu, "
-        "\"bytes_out\": %llu, \"protocol_errors\": %llu, "
-        "\"backpressure_disconnects\": %llu, \"idle_disconnects\": %llu, "
-        "\"io_backend\": \"%s\", \"io_wait_calls\": %llu, "
-        "\"io_recv_syscalls\": %llu, \"io_send_syscalls\": %llu, "
-        "\"io_recv_submissions\": %llu, \"io_send_submissions\": %llu}",
-        static_cast<unsigned long long>(net.connections_accepted),
-        static_cast<unsigned long long>(net.connections_closed),
-        static_cast<unsigned long long>(net.frames_in),
-        static_cast<unsigned long long>(net.frames_out),
-        static_cast<unsigned long long>(net.bytes_in),
-        static_cast<unsigned long long>(net.bytes_out),
-        static_cast<unsigned long long>(net.protocol_errors),
-        static_cast<unsigned long long>(net.backpressure_disconnects),
-        static_cast<unsigned long long>(net.idle_disconnects),
-        net.io_backend.c_str(),
-        static_cast<unsigned long long>(net.io_wait_calls),
-        static_cast<unsigned long long>(net.io_recv_syscalls),
-        static_cast<unsigned long long>(net.io_send_syscalls),
-        static_cast<unsigned long long>(net.io_recv_submissions),
-        static_cast<unsigned long long>(net.io_send_submissions));
+    std::string json = "{\"net\": " + net.Json();
     if (!fields.empty()) {
       json += ", ";
       json += fields;

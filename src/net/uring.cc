@@ -152,7 +152,7 @@ Status UringQueue::Submit() {
   return Status::Ok();
 }
 
-Status UringQueue::SubmitAndWait(int timeout_ms, unsigned min_complete) {
+Status UringQueue::SubmitAndWait(int64_t timeout_us, unsigned min_complete) {
   StoreRelease(sq_tail_, sqe_tail_);
   const unsigned to_submit = sqe_tail_ - LoadAcquire(sq_head_);
   // Completions may already be sitting in the CQ; a wait with min_complete
@@ -163,9 +163,9 @@ Status UringQueue::SubmitAndWait(int timeout_ms, unsigned min_complete) {
   __kernel_timespec ts;
   const void* argp = nullptr;
   size_t argsz = 0;
-  if (timeout_ms >= 0) {
-    ts.tv_sec = timeout_ms / 1000;
-    ts.tv_nsec = static_cast<long long>(timeout_ms % 1000) * 1000000;
+  if (timeout_us >= 0) {
+    ts.tv_sec = timeout_us / 1000000;
+    ts.tv_nsec = static_cast<long long>(timeout_us % 1000000) * 1000;
     arg.ts = reinterpret_cast<uint64_t>(&ts);
     flags |= IORING_ENTER_EXT_ARG;
     argp = &arg;

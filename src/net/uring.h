@@ -49,11 +49,18 @@ class UringQueue {
   Status Submit();
 
   /// Publishes queued SQEs and waits for at least `min_complete`
-  /// completions or the timeout (milliseconds; < 0 waits indefinitely,
+  /// completions or the timeout (microseconds; < 0 waits indefinitely,
   /// 0 polls). A timeout or signal is Ok — the caller just drains whatever
-  /// arrived. `min_complete` > 1 is completion coalescing: trade a bounded
-  /// wait for fewer, fuller enter syscalls.
-  Status SubmitAndWait(int timeout_ms, unsigned min_complete = 1);
+  /// arrived. `min_complete` > 1 is completion coalescing: when fewer
+  /// completions can arrive (e.g. the peer is blocked on our reply) the
+  /// enter sleeps out the whole timeout, so the timeout is the most one
+  /// coalescing enter adds to a round — once per enter, never more.
+  Status SubmitAndWait(int64_t timeout_us, unsigned min_complete = 1);
+
+  /// Completions published to the CQ and not yet drained (no syscall).
+  unsigned CompletionsReady() const {
+    return __atomic_load_n(cq_tail_, __ATOMIC_ACQUIRE) - *cq_head_;
+  }
 
   /// Drains every pending CQE into `fn(user_data, res, flags)`. Returns the
   /// number of completions consumed. Entries are copied out before `fn`

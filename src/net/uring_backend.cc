@@ -37,6 +37,12 @@ constexpr size_t kRecvBufBytes = 64 * 1024;
 /// double-buffer memory per connection; the caller re-flushes the rest on
 /// completion.
 constexpr size_t kMaxSendCopyBytes = 256 * 1024;
+/// Completion-moderation window: the most one coalescing enter may add to
+/// a round. Long enough to batch a dense burst (it keeps the uring loop
+/// under half of epoll's syscalls per frame in bench_tail_latency), short
+/// next to a 128 KiB loopback round trip (~0.5 ms) for the rounds whose
+/// batch can never fill (request/response: the peer waits on our reply).
+constexpr int64_t kCoalesceWindowUs = 200;
 
 // user_data = (tag << 2) | op. Connection tags start at 2, so tags 0/1 are
 // free for the backend's own ops.
@@ -178,22 +184,29 @@ class UringBackend : public IoBackend {
       return;
     }
     // The single syscall of the iteration: submit every queued SQE and wait
-    // for completions (or the timeout that paces drain/idle sweeps). Under
-    // dense traffic, coalesce: wait for a batch sized to the previous
-    // round, bounded by a 2 ms moderation window, so one enter carries many
-    // completions instead of returning on the first (the delay is invisible
-    // under load, where queueing dominates, and the density signal decays
-    // the moment a round comes back small). Sparse traffic keeps
-    // min_complete 1 and pays zero added latency.
+    // for completions (or the timeout that paces drain/idle sweeps). After
+    // a dense round, coalesce: wait for a batch sized to the previous
+    // round, so one enter carries many completions instead of returning on
+    // the first. The batch may never fill — on a request/response
+    // connection the only event left to arrive is often our own worker's
+    // wake, the peer being blocked on the reply — so the wait is bounded
+    // by kCoalesceWindowUs: at most one window per enter, never more. A
+    // round that comes back small turns coalescing off again, and sparse
+    // traffic keeps min_complete 1 and pays no added latency.
     unsigned min_complete = 1;
-    int wait_ms = timeout_ms;
+    int64_t wait_us = timeout_ms < 0 ? -1 : int64_t{timeout_ms} * 1000;
     if (last_round_cqes_ >= 2) {
       min_complete = last_round_cqes_ < 8 ? last_round_cqes_ : 8;
-      if (wait_ms < 0 || wait_ms > 2) wait_ms = 2;
+      if (wait_us < 0 || wait_us > kCoalesceWindowUs) {
+        wait_us = kCoalesceWindowUs;
+      }
     }
-    const Status waited = ring_.SubmitAndWait(wait_ms, min_complete);
+    const Status waited = ring_.SubmitAndWait(wait_us, min_complete);
     if (!waited.ok()) {
       PKGM_LOG(Error) << "io_uring wait failed: " << waited.ToString();
+    }
+    if (min_complete > 1 && ring_.CompletionsReady() < min_complete) {
+      coalesce_timeouts_.fetch_add(1, std::memory_order_relaxed);
     }
     last_round_cqes_ = ring_.ForEachCompletion(
         [this](uint64_t ud, int32_t res, uint32_t) { Dispatch(ud, res); });
@@ -206,6 +219,7 @@ class UringBackend : public IoBackend {
     s.recv_submissions = recv_submissions_.load(std::memory_order_relaxed);
     s.send_submissions = send_submissions_.load(std::memory_order_relaxed);
     s.wakeups = wakeups_.load(std::memory_order_relaxed);
+    s.coalesce_timeouts = coalesce_timeouts_.load(std::memory_order_relaxed);
     return s;
   }
 
@@ -369,7 +383,7 @@ class UringBackend : public IoBackend {
         inflight = inflight || conn->recv_armed || conn->send_inflight;
       }
       if (!inflight) break;
-      ring_.SubmitAndWait(20);
+      ring_.SubmitAndWait(20000);
       ring_.ForEachCompletion([this](uint64_t ud, int32_t res, uint32_t) {
         // Teardown drain: clear op flags only, never call the handler.
         if (ud == kUdWake) {
@@ -429,6 +443,7 @@ class UringBackend : public IoBackend {
   std::atomic<uint64_t> recv_submissions_{0};
   std::atomic<uint64_t> send_submissions_{0};
   std::atomic<uint64_t> wakeups_{0};
+  std::atomic<uint64_t> coalesce_timeouts_{0};
 };
 
 }  // namespace

@@ -49,6 +49,9 @@ struct NetCounters {
   uint64_t io_send_submissions = 0;
   /// Cross-thread wakeup signals consumed by the loops.
   uint64_t io_wakeups = 0;
+  /// Coalescing waits that sat out their whole moderation window without
+  /// the batch they asked for (io_uring only; 0 on epoll).
+  uint64_t io_coalesce_timeouts = 0;
 
   /// Frames moved (in + out) per I/O syscall (waits + recvs + sends): the
   /// batched-submission win in one number — higher is better.
@@ -58,6 +61,10 @@ struct NetCounters {
     return static_cast<double>(frames_in + frames_out) /
            static_cast<double>(syscalls > 0 ? syscalls : 1);
   }
+
+  /// The "net" object of every StatsJson snapshot, knowledge-server and
+  /// transport-only servers alike.
+  std::string Json() const;
 };
 
 /// Thread-safe metrics for the knowledge server: request counters by

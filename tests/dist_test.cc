@@ -1,5 +1,5 @@
 // End-to-end tests for the distributed parameter-server training
-// subsystem: ParamServer shards behind real epoll NetServers on loopback,
+// subsystem: ParamServer shards behind real NetServers on loopback,
 // driven over TCP by raw CallFrame probes and by the DistTrainer. The core
 // acceptance property mirrors the serving tests' parity bar: with one
 // worker and synchronous pushes the distributed trajectory is BIT-EXACT vs
@@ -23,6 +23,7 @@
 #include "dist/param_server.h"
 #include "kg/synthetic_pkg.h"
 #include "kg/triple_store.h"
+#include "net/io_backend.h"
 #include "net/net_client.h"
 #include "net/net_server.h"
 #include "net/wire.h"
@@ -54,7 +55,9 @@ struct Cluster {
   std::vector<std::string> endpoints;
   std::vector<uint16_t> ports;
 
-  void Start(uint32_t num_shards, ParamServerOptions base) {
+  /// `io_backend` pins the shards' I/O backend ("" = the runtime probe).
+  void Start(uint32_t num_shards, ParamServerOptions base,
+             const std::string& io_backend = "") {
     for (uint32_t s = 0; s < num_shards; ++s) {
       ParamServerOptions opt = base;
       opt.shard_index = s;
@@ -62,6 +65,7 @@ struct Cluster {
       shards.push_back(std::make_unique<ParamServer>(opt));
       net::NetServerOptions nopt;
       nopt.bind_address = "127.0.0.1";
+      nopt.io_backend = io_backend;
       servers.push_back(
           std::make_unique<net::NetServer>(shards.back().get(), nopt));
       ASSERT_TRUE(servers.back()->Start().ok());
@@ -555,6 +559,103 @@ TEST(DistTrainerTest, TwoWorkersTwoShardsHingeParity) {
   ASSERT_GT(ref_hinge, 0.0);
   EXPECT_NEAR(dist_hinge / ref_hinge, 1.0, 0.02)
       << "dist " << dist_hinge << " vs ref " << ref_hinge;
+}
+
+// ---------------------------------------------------------------------------
+// Round-trip latency across I/O backends
+// ---------------------------------------------------------------------------
+
+/// Backend matrix: the parameter ("epoll" / "uring") pins the shard's and
+/// the client's I/O backend; the uring leg skips where the kernel has no
+/// io_uring.
+class ParamServerBackendTest : public ::testing::TestWithParam<const char*> {
+ protected:
+  void SetUp() override {
+    if (std::string(GetParam()) == "uring" && !net::UringAvailable()) {
+      GTEST_SKIP() << "io_uring unavailable on this kernel";
+    }
+  }
+};
+
+INSTANTIATE_TEST_SUITE_P(Backends, ParamServerBackendTest,
+                         ::testing::Values("epoll", "uring"));
+
+struct RoundTripRun {
+  double wall_ms = 0.0;
+  /// The shard's StatsJson after the run.
+  std::string stats_json;
+  uint64_t coalesce_timeouts = 0;
+};
+
+/// `round_trips` sequential round trips, alternating PushGrads and
+/// PullRows of 512 entity rows x dim 64 (128 KiB frames), on one
+/// connection to a one-shard cluster whose server and client run on
+/// `backend`.
+RoundTripRun SequentialRoundTrips(const std::string& backend,
+                                  int round_trips) {
+  constexpr uint32_t kRows = 512;
+  constexpr uint32_t kDim = 64;
+  ParamServerOptions base;
+  base.model.num_entities = kRows;
+  base.model.num_relations = 4;
+  base.model.dim = kDim;
+  base.model.seed = 77;
+  base.optimizer = core::OptimizerKind::kSgd;
+  Cluster cluster;
+  cluster.Start(1, base, backend);
+  net::NetClientOptions copt;
+  copt.io_backend = backend;
+  auto client = MustConnect(cluster.ports[0], copt);
+
+  core::GradArena arena;  // zero gradients: the push moves no parameter
+  for (uint32_t id = 0; id < kRows; ++id) arena.Entity(id, kDim);
+  std::string blob;
+  core::SerializeGradArena(arena, &blob);
+  std::vector<PullSection> pull(1);
+  pull[0].table = ParamTable::kEntity;
+  for (uint32_t id = 0; id < kRows; ++id) pull[0].ids.push_back(id);
+
+  const auto start = std::chrono::steady_clock::now();
+  for (int r = 0; r < round_trips; ++r) {
+    const uint64_t cid = client->NextCorrelationId();
+    if (r % 2 == 0) {
+      StatusOr<Frame> ack =
+          Call(client.get(), net::EncodePushGrads(cid, 1.0f, 0, blob));
+      EXPECT_TRUE(ack.ok() && ack->type == FrameType::kPushAck);
+    } else {
+      StatusOr<Frame> rows =
+          Call(client.get(), net::EncodePullRows(cid, pull));
+      EXPECT_TRUE(rows.ok() && rows->type == FrameType::kRows);
+      EXPECT_GE(rows.ok() ? rows->payload.size() : 0, kRows * kDim * 4);
+    }
+  }
+  const std::chrono::duration<double, std::milli> wall =
+      std::chrono::steady_clock::now() - start;
+  RoundTripRun run;
+  run.wall_ms = wall.count();
+  run.stats_json = cluster.servers[0]->StatsJson();
+  run.coalesce_timeouts =
+      cluster.servers[0]->net_counters().io_coalesce_timeouts;
+  return run;
+}
+
+// A request/response connection leaves the loop little to batch: the peer
+// is blocked on the reply. Completion coalescing may cost such a round
+// trip at most one moderation window (200 us, so 20 ms over 100 round
+// trips), never a millisecond-scale timeout: the backend under test stays
+// within 2x + 20 ms of epoll measured alongside it. Expired windows are
+// counted in the shard's stats; epoll never coalesces and reports 0.
+TEST_P(ParamServerBackendTest, SequentialLargeRoundTripsDoNotStall) {
+  constexpr int kRoundTrips = 100;
+  const RoundTripRun epoll = SequentialRoundTrips("epoll", kRoundTrips);
+  const RoundTripRun run = SequentialRoundTrips(GetParam(), kRoundTrips);
+  EXPECT_LE(run.wall_ms, 2.0 * epoll.wall_ms + 20.0)
+      << GetParam() << " " << run.wall_ms << " ms vs epoll " << epoll.wall_ms
+      << " ms for " << kRoundTrips << " round trips";
+  EXPECT_EQ(epoll.coalesce_timeouts, 0u);
+  EXPECT_NE(run.stats_json.find("\"io_coalesce_timeouts\":"),
+            std::string::npos)
+      << run.stats_json;
 }
 
 }  // namespace

@@ -506,6 +506,8 @@ TEST_P(NetServerTest, PingAndStatsProbes) {
   EXPECT_NE(stats.value().find(expected_backend), std::string::npos)
       << stats.value();
   EXPECT_NE(stats.value().find("\"io_wait_calls\""), std::string::npos);
+  EXPECT_NE(stats.value().find("\"io_coalesce_timeouts\""),
+            std::string::npos);
   EXPECT_NE(stats.value().find("\"frames_per_syscall\""), std::string::npos);
   EXPECT_EQ(net.net_counters().io_backend,
             std::string(GetParam()) == "uring" ? "io_uring" : "epoll");

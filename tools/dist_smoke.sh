@@ -7,13 +7,20 @@
 # JSON stats (no rejects, no protocol errors, every epoch barrier
 # released).
 #
-#   dist_smoke.sh <pkgm_psd> <pkgm_tool> <workdir> [epochs]
+#   dist_smoke.sh <pkgm_psd> <pkgm_tool> <workdir> [epochs] [backend]
+#
+# The optional 5th argument pins the I/O backend ("uring" or "epoll") of
+# the shards and the workers through PKGM_NET_IO, and the stats assertion
+# then also checks the shards actually ran on it (uring pins degrade to
+# epoll — with a logged warning — on kernels without io_uring, so only an
+# epoll pin must hold exactly).
 set -u
 
 PSD="$1"
 TOOL="$2"
 WORKDIR="$3"
 EPOCHS="${4:-3}"
+BACKEND="${5:-}"
 
 DIM=16
 LR=0.05
@@ -37,6 +44,11 @@ RELATIONS=$(sed -n 's/^loaded .* triples, .* entities, \([0-9]*\) relations.*/\1
 BASE_HINGE=$(sed -n 's/^final eval hinge \([0-9.]*\)$/\1/p' base.log)
 if [ -z "$ENTITIES" ] || [ -z "$RELATIONS" ] || [ -z "$BASE_HINGE" ]; then
   echo "FAIL: could not parse baseline output" >&2; cat base.log >&2; exit 1
+fi
+
+# Everything from here on talks over loopback sockets.
+if [ -n "$BACKEND" ]; then
+  export PKGM_NET_IO="$BACKEND"
 fi
 
 # Two shard daemons on ephemeral loopback ports.
@@ -94,22 +106,29 @@ for PID in $PIDS; do
 done
 trap - EXIT
 
-python3 - "$BASE_HINGE" "$DIST_HINGE" "$TOLERANCE" "$EPOCHS" \
+python3 - "$BASE_HINGE" "$DIST_HINGE" "$TOLERANCE" "$EPOCHS" "$BACKEND" \
     shard_0.json shard_1.json <<'EOF'
 import json, sys
 
 base, dist, tol = float(sys.argv[1]), float(sys.argv[2]), float(sys.argv[3])
 epochs = int(sys.argv[4])
+backend_pin = sys.argv[5]
 
 gap = abs(dist - base) / base
 assert gap <= tol, f"loss parity broken: base={base} dist={dist} gap={gap:.4f}"
 
-for path in sys.argv[5:7]:
+for path in sys.argv[6:8]:
     shard = json.load(open(path))
+    net = shard["net"]
     assert shard["rejects"] == 0, f"{path}: {shard}"
-    assert shard["net"]["protocol_errors"] == 0, f"{path}: {shard['net']}"
+    assert net["protocol_errors"] == 0, f"{path}: {net}"
     assert shard["barriers_released"] == epochs, f"{path}: {shard}"
     assert shard["pushes"] > 0 and shard["pulls"] > 0, f"{path}: {shard}"
+    assert net["io_backend"] in ("epoll", "io_uring"), f"{path}: {net}"
+    if backend_pin == "epoll":
+        assert net["io_backend"] == "epoll", f"{path}: {net}"
 
-print(f"dist smoke OK: base_hinge={base} dist_hinge={dist} gap={gap:.5f}")
+print(f"dist smoke OK: base_hinge={base} dist_hinge={dist} gap={gap:.5f}",
+      f"io_backend={net['io_backend']}",
+      f"io_coalesce_timeouts={net['io_coalesce_timeouts']}")
 EOF
